@@ -20,11 +20,6 @@
 //	-show N      print the first N shapelets as sparklines (default 3)
 //	-save FILE   write the trained model to FILE as JSON
 //	-load FILE   classify with a previously saved model instead of training
-//	-dist-kernel auto|rolling|fft  force the shapelet transform's distance
-//	             kernel (debugging/measurement; output identical for any value)
-//	-precision float64|float32  transform kernel arithmetic width; float64
-//	             (default) is byte-deterministic, float32 trades documented
-//	             tolerance for throughput
 //
 // Observability (see internal/obs):
 //
@@ -57,8 +52,6 @@ import (
 	"time"
 
 	ips "ips"
-	"ips/internal/classify"
-	"ips/internal/dist"
 	"ips/internal/obs"
 	"ips/internal/ucr"
 )
@@ -83,8 +76,6 @@ func main() {
 	spans := flag.Bool("spans", false, "print the span tree after the run")
 	progress := flag.Bool("progress", false, "stream stage progress to stderr")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, expvar, /metrics, and /debug/flight on this address (e.g. :6060)")
-	distKernel := flag.String("dist-kernel", "auto", "force the transform's distance kernel: auto, rolling, or fft (output identical)")
-	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, e.g. 30s or 5m (0 = no limit)")
 	flag.Parse()
 
@@ -99,19 +90,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if k, err := dist.ParseKernel(*distKernel); err != nil {
-		fmt.Fprintln(os.Stderr, "ips:", err)
-		os.Exit(2)
-	} else {
-		classify.DefaultKernel = k
-	}
-	if p, err := dist.ParsePrecision(*precision); err != nil {
-		fmt.Fprintln(os.Stderr, "ips:", err)
-		os.Exit(2)
-	} else {
-		classify.DefaultPrecision = p
 	}
 
 	train, test, err := loadData(ctx, *dataset, *data, *trainPath, *testPath, *seed)
@@ -170,8 +148,8 @@ func main() {
 
 	config := map[string]any{
 		"k": *k, "qn": *qn, "qs": *qs, "workers": *workers,
-		"dist_kernel": *distKernel, "dataset": *dataset,
-		"train": *trainPath, "test": *testPath,
+		"dataset": *dataset,
+		"train":   *trainPath, "test": *testPath,
 	}
 	writeManifest := func(acc *float64, runErr error) {
 		if *manifestPath == "" {

@@ -38,9 +38,6 @@
 //	             (e.g. BENCH_transform.json)
 //	-streamout FILE  write the "stream" experiment's report as JSON
 //	             (e.g. BENCH_stream.json)
-//	-dist-kernel auto|rolling|fft  force the transform's distance kernel
-//	-precision float64|float32  transform kernel arithmetic width
-//	             (debugging/measurement; results identical for any value)
 //
 // Observability (see internal/obs):
 //
@@ -66,23 +63,9 @@ import (
 	"time"
 
 	"ips/internal/bench"
-	"ips/internal/classify"
-	"ips/internal/dist"
 	"ips/internal/errs"
 	"ips/internal/obs"
 )
-
-// setDistKernel applies the -dist-kernel flag: it forces the shapelet
-// transform's distance kernel globally.  Results are identical for any
-// kernel; the flag exists for measurement and debugging.
-func setDistKernel(name string) error {
-	k, err := dist.ParseKernel(name)
-	if err != nil {
-		return err
-	}
-	classify.DefaultKernel = k
-	return nil
-}
 
 func main() {
 	quick := flag.Bool("quick", true, "cap dataset sizes for a CI-scale run")
@@ -95,8 +78,6 @@ func main() {
 	mpOut := flag.String("mpout", "", "write the mp experiment's kernel report as JSON to this file")
 	tfOut := flag.String("tfout", "", "write the transform experiment's report as JSON to this file")
 	streamOut := flag.String("streamout", "", "write the stream experiment's report as JSON to this file")
-	distKernel := flag.String("dist-kernel", "auto", "force the transform's distance kernel: auto, rolling, or fft (results identical)")
-	precision := flag.String("precision", "float64", "transform kernel arithmetic: float64 (byte-deterministic) or float32 (faster, approximate)")
 	logLevel := flag.String("log-level", "off", "structured log level: off, debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	manifestPath := flag.String("manifest", "", "write a run manifest (JSON) to this file; inspect with ipsobs")
@@ -116,17 +97,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if err := setDistKernel(*distKernel); err != nil {
-		fmt.Fprintln(os.Stderr, "ipsbench:", err)
-		os.Exit(2)
-	}
-	if p, err := dist.ParsePrecision(*precision); err != nil {
-		fmt.Fprintln(os.Stderr, "ipsbench:", err)
-		os.Exit(2)
-	} else {
-		classify.DefaultPrecision = p
 	}
 
 	if flag.NArg() == 0 {
@@ -247,7 +217,7 @@ func main() {
 			Config: map[string]any{
 				"experiments": strings.Join(names, ","),
 				"quick":       *quick && !*full, "k": *k, "runs": *runs,
-				"workers": *workers, "dist_kernel": *distKernel,
+				"workers": *workers,
 			},
 			Err: runErr, Flight: flight,
 		})

@@ -106,7 +106,7 @@ func TestMaskWord(t *testing.T) {
 
 func TestFastShapeletsDiscover(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 25)
-	sh, err := FastShapeletsDiscover(train, FSConfig{K: 3, Seed: 26})
+	sh, err := FastShapeletsDiscoverCtx(t.Context(), train, FSConfig{K: 3, Seed: 26})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFastShapeletsDiscover(t *testing.T) {
 			t.Fatalf("class %d has %d shapelets", c, perClass[c])
 		}
 	}
-	if _, err := FastShapeletsDiscover(&ts.Dataset{}, FSConfig{}); err == nil {
+	if _, err := FastShapeletsDiscoverCtx(t.Context(), &ts.Dataset{}, FSConfig{}); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -130,7 +130,7 @@ func TestFastShapeletsDiscover(t *testing.T) {
 func TestFastShapeletsEvaluate(t *testing.T) {
 	train := plantedDataset(10, 60, 2, 27)
 	test := plantedDataset(10, 60, 2, 28)
-	acc, err := FastShapeletsEvaluate(train, test, FSConfig{K: 5, Seed: 29}, classify.SVMConfig{Seed: 30})
+	acc, err := FastShapeletsEvaluateCtx(t.Context(), train, test, FSConfig{K: 5, Seed: 29}, classify.SVMConfig{Seed: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if len(shapelets) == 0 {
 		return 0, fmt.Errorf("bench: no shapelets without discords")
 	}
-	X, err := classify.TransformCtx(ctx, train, shapelets, 0, nil, nil)
+	X, err := classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -152,7 +152,7 @@ func (h *Harness) evaluateWithoutDiscords(ctx context.Context, train, test *ts.D
 	if err != nil {
 		return 0, err
 	}
-	Xt, err := classify.TransformCtx(ctx, test, shapelets, 0, nil, nil)
+	Xt, err := classify.TransformWith(ctx, test, shapelets, classify.TransformConfig{})
 	if err != nil {
 		return 0, err
 	}

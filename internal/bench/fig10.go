@@ -184,11 +184,14 @@ func (h *Harness) selectionTime(ctx context.Context, train *ts.Dataset, opt core
 	if err != nil {
 		return 0
 	}
-	d, err := dabf.Build(pool, opt.DABF)
+	d, err := dabf.BuildSpan(ctx, pool, opt.DABF, nil)
 	if err != nil {
 		return 0
 	}
-	pruned, _ := dabf.Prune(pool, d)
+	pruned, _, err := dabf.PruneSpan(ctx, pool, d, nil)
+	if err != nil {
+		return 0
+	}
 	sp := h.Obs.Root().Child("fig10bc.selection." + train.Name)
 	sp.SetString("dt_cr", fmt.Sprint(!opt.DisableDT))
 	sw := obs.NewStopwatch()

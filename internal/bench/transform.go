@@ -77,7 +77,7 @@ func (h *Harness) transformBenchCells() []struct {
 // TransformBench measures the shapelet transform — the embedding hot path
 // every classifier in the repo funnels through — as a (dataset × shapelet
 // length) grid, comparing the per-pair ts.Dist loop the transform used
-// before the batched engine against classify.Transform on the engine.  Both
+// before the batched engine against classify.TransformWith on the engine.  Both
 // sides run single-threaded and each cell is the best of three runs; the
 // engine's output is verified byte-identical to the naive loop before
 // timing is reported.  Snapshot with WriteJSON as BENCH_transform.json.
@@ -132,7 +132,7 @@ func (h *Harness) TransformBench(ctx context.Context) (*TransformBenchReport, er
 					naiveBest = el
 				}
 				sw = obs.NewStopwatch()
-				got, err = classify.TransformCtx(ctx, train, shapelets, 1, nil, nil)
+				got, err = classify.TransformWith(ctx, train, shapelets, classify.TransformConfig{Workers: 1})
 				if err != nil {
 					return nil, err
 				}
@@ -140,21 +140,10 @@ func (h *Harness) TransformBench(ctx context.Context) (*TransformBenchReport, er
 					engineBest = el
 				}
 			}
-			// At float64 the engine is byte-identical to ts.Dist by
-			// contract; under -precision float32 it returns the distance of
-			// the rounded inputs, so the check relaxes to the documented
-			// relative tolerance instead of exact bits.
+			// The engine is byte-identical to ts.Dist by contract.
 			for j := range want {
 				for si := range want[j] {
-					if classify.DefaultPrecision == dist.PrecisionFloat32 {
-						scale := 1.0
-						if want[j][si] > scale {
-							scale = want[j][si]
-						}
-						if math.Abs(got[j][si]-want[j][si]) <= 1e-3*scale {
-							continue
-						}
-					} else if math.Float64bits(got[j][si]) == math.Float64bits(want[j][si]) {
+					if math.Float64bits(got[j][si]) == math.Float64bits(want[j][si]) {
 						continue
 					}
 					return nil, fmt.Errorf("bench: transform diverged from ts.Dist on %s L=%d at [%d][%d]: %v vs %v",

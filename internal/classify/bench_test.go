@@ -39,7 +39,7 @@ func BenchmarkTransform(b *testing.B) {
 				b.Run("engine/"+label, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						TransformWorkers(train, sh, 1)
+						transform(b, train, sh, TransformConfig{})
 					}
 				})
 				b.Run("naive/"+label, func(b *testing.B) {

@@ -25,50 +25,8 @@ type Shapelet struct {
 	Score float64
 }
 
-// Transform maps every instance to its shapelet-transform embedding
-// (d_{j,1}, …, d_{j,|S|}) where d_{j,i} = dist(T_j, S_i) under Def. 4.
-func Transform(d *ts.Dataset, shapelets []Shapelet) [][]float64 {
-	return TransformWorkers(d, shapelets, 1)
-}
-
-// TransformWorkers is Transform with the per-instance embedding computed by
-// the given number of goroutines (<=1 means sequential).  The output is
-// identical for any worker count.
-func TransformWorkers(d *ts.Dataset, shapelets []Shapelet, workers int) [][]float64 {
-	return TransformSpan(d, shapelets, workers, nil)
-}
-
-// TransformSpan is TransformWorkers with observability: span attributes for
-// the embedding shape and kernel mix, a classify.transform.dists counter of
-// sliding Def. 4 distance evaluations, and the dist.* engine counters.
-func TransformSpan(d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span) [][]float64 {
-	return TransformCached(d, shapelets, workers, sp, nil)
-}
-
-// TransformCached is TransformCtx without cancellation (a background
-// context); see TransformCtx for the cache semantics.
-func TransformCached(d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span, cache *dist.Cache) [][]float64 {
-	X, err := TransformCtx(context.Background(), d, shapelets, workers, sp, cache)
-	if err != nil {
-		// Unreachable: a background context never cancels and the embedding
-		// has no other failure mode.
-		return nil
-	}
-	return X
-}
-
-// TransformCtx is the shapelet transform with cooperative cancellation and
-// an optional prepared-series cache; it delegates to TransformWith with the
-// package-level DefaultKernel and DefaultPrecision knobs.
-func TransformCtx(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, workers int, sp *obs.Span, cache *dist.Cache) ([][]float64, error) {
-	return TransformWith(ctx, d, shapelets, TransformConfig{
-		Workers: workers, Span: sp, Cache: cache,
-		Kernel: DefaultKernel, Precision: DefaultPrecision,
-	})
-}
-
 // TransformConfig parameterises TransformWith.  The zero value is a
-// sequential, uncached, auto-kernel, float64 transform.
+// sequential, uncached, auto-kernel transform.
 type TransformConfig struct {
 	// Workers is the per-instance embedding fan-out (<=1 means sequential).
 	// Output is identical for any value.
@@ -80,11 +38,11 @@ type TransformConfig struct {
 	// nil prepares per call.
 	Cache *dist.Cache
 	// Kernel forces the distance kernel (dist.KernelAuto selects per query
-	// length).  Kernel choice never changes results.
+	// length).  Kernel choice never changes results; forcing one is the hook
+	// tests and benchmarks use to cross-check the kernels.
 	Kernel dist.Kernel
-	// Precision selects the kernel arithmetic width.  The float64 default is
-	// byte-identical to the per-pair ts.Dist loop; dist.PrecisionFloat32 is
-	// the opt-in approximate throughput variant (see dist.Precision).
+	// Deprecated: the engine computes in float64 only; Precision has no
+	// effect.
 	Precision dist.Precision
 }
 
@@ -95,9 +53,8 @@ type TransformConfig struct {
 // shapelets are grouped by length once up front, and every row shares the
 // per-(series, length) sliding statistics.  Each worker owns a dist.Scratch
 // arena, so the per-group working set is allocated once per worker and
-// reused across every instance.  At the default float64 precision the output
-// is byte-identical to the per-pair ts.Dist loop for any worker count and
-// either kernel.
+// reused across every instance.  The output is byte-identical to the
+// per-pair ts.Dist loop for any worker count and either kernel.
 //
 // Cancellation is checked per instance: once ctx is done the workers keep
 // draining the job channel (so the producer never blocks) but skip the
@@ -108,7 +65,6 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	sp.SetInt("instances", int64(len(d.Instances)))
 	sp.SetInt("shapelets", int64(len(shapelets)))
 	sp.SetInt("workers", int64(max(workers, 1)))
-	sp.SetString("precision", cfg.Precision.String())
 	sp.Metrics().Counter("classify.transform.dists").Add(int64(len(d.Instances)) * int64(len(shapelets)))
 	queries := make([][]float64, len(shapelets))
 	for i, s := range shapelets {
@@ -116,7 +72,6 @@ func TransformWith(ctx context.Context, d *ts.Dataset, shapelets []Shapelet, cfg
 	}
 	batch := dist.NewBatch(queries)
 	batch.SetKernel(cfg.Kernel)
-	batch.SetPrecision(cfg.Precision)
 	out := make([][]float64, len(d.Instances))
 	var total dist.Counts
 	embed := func(j int, c *dist.Counts, s *dist.Scratch) error {
@@ -189,17 +144,9 @@ func embedRow(ctx context.Context, batch *dist.Batch, cache *dist.Cache, series 
 	return batch.EvalScratchCtx(ctx, p, row, c, s)
 }
 
-// DefaultKernel forces the distance kernel for every transform (KernelAuto
-// selects per query length).  It exists for the CLIs' -dist-kernel debugging
-// flag and for benchmarks; kernel choice never changes results.  Set it
-// before any transform runs, not concurrently with one.
-var DefaultKernel = dist.KernelAuto
-
-// DefaultPrecision selects the kernel arithmetic width for every transform
-// routed through TransformCtx and its wrappers.  It exists for the CLIs'
-// -precision flag; the float64 default keeps the byte-determinism contract.
-// Set it before any transform runs, not concurrently with one.
-var DefaultPrecision = dist.PrecisionFloat64
+// DefaultKernel is the kernel selection of every production transform:
+// dist.KernelAuto, the per-query-length crossover.
+const DefaultKernel = dist.KernelAuto
 
 // Scaler standardises features to zero mean and unit variance, fitted on
 // training data and applied to both splits.

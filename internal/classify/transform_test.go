@@ -41,6 +41,17 @@ func naiveTransform(d *ts.Dataset, shapelets []Shapelet) [][]float64 {
 	return out
 }
 
+// transform runs TransformWith under the test's context and fails the test
+// on error.
+func transform(t testing.TB, d *ts.Dataset, shapelets []Shapelet, cfg TransformConfig) [][]float64 {
+	t.Helper()
+	X, err := TransformWith(t.Context(), d, shapelets, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return X
+}
+
 func requireBitsEqual(t *testing.T, got, want [][]float64, label string) {
 	t.Helper()
 	for j := range want {
@@ -78,55 +89,12 @@ func TestTransformByteIdenticalUCR(t *testing.T) {
 		sh := fixtureShapelets(train, tc.lengths)
 		want := naiveTransform(train, sh)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := TransformWorkers(train, sh, workers)
+			got := transform(t, train, sh, TransformConfig{Workers: workers})
 			requireBitsEqual(t, got, want, fmt.Sprintf("%s workers=%d", tc.dataset, workers))
 		}
-		defer func(k dist.Kernel) { DefaultKernel = k }(DefaultKernel)
 		for _, kernel := range []dist.Kernel{dist.KernelRolling, dist.KernelFFT} {
-			DefaultKernel = kernel
-			got := TransformWorkers(train, sh, 2)
+			got := transform(t, train, sh, TransformConfig{Workers: 2, Kernel: kernel})
 			requireBitsEqual(t, got, want, fmt.Sprintf("%s kernel=%v", tc.dataset, kernel))
-		}
-		DefaultKernel = dist.KernelAuto
-	}
-}
-
-// TestTransformFloat32WorkersDeterministic pins the float32 variant's
-// determinism contract: the opt-in single-precision transform is NOT
-// byte-identical to float64 (that's the trade), but it is a pure function of
-// the rounded inputs — byte-identical across worker counts and within the
-// documented tolerance of the float64 embedding.
-func TestTransformFloat32WorkersDeterministic(t *testing.T) {
-	train, _, err := ucr.GenerateByName("GunPoint", ucr.GenConfig{Seed: 7, MaxTrain: 16, MaxTest: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := fixtureShapelets(train, []int{8, 16, 64, 64, 100})
-	cfg := func(workers int) TransformConfig {
-		return TransformConfig{Workers: workers, Precision: dist.PrecisionFloat32}
-	}
-	ref, err := TransformWith(t.Context(), train, sh, cfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := TransformWith(t.Context(), train, sh, cfg(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitsEqual(t, got, ref, fmt.Sprintf("float32 workers=%d", workers))
-	}
-	want := naiveTransform(train, sh)
-	for j := range want {
-		for i := range want[j] {
-			scale := 1.0
-			if want[j][i] > scale {
-				scale = want[j][i]
-			}
-			if diff := math.Abs(ref[j][i] - want[j][i]); diff > 1e-3*scale {
-				t.Fatalf("float32 embedding[%d][%d] = %v, float64 = %v (diff %v beyond tolerance)",
-					j, i, ref[j][i], want[j][i], diff)
-			}
 		}
 	}
 }
@@ -147,15 +115,19 @@ func TestTransformSharedCacheConcurrent(t *testing.T) {
 	cache := dist.NewCache()
 	var wg sync.WaitGroup
 	results := make([][][]float64, 6)
+	errs := make([]error, len(results))
 	for g := range results {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = TransformCached(train, sh, 1+g%3, nil, cache)
+			results[g], errs[g] = TransformWith(t.Context(), train, sh, TransformConfig{Workers: 1 + g%3, Cache: cache})
 		}(g)
 	}
 	wg.Wait()
 	for g, got := range results {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
 		requireBitsEqual(t, got, want, fmt.Sprintf("goroutine %d", g))
 	}
 	if cache.Size() != len(train.Instances) {

@@ -21,7 +21,7 @@ func ablationPool(b *testing.B, qn int) (*ip.Pool, *dabf.DABF, *ts.Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	filt, err := dabf.Build(pool, dabf.Config{Seed: 42})
+	filt, err := dabf.BuildSpan(b.Context(), pool, dabf.Config{Seed: 42}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,9 @@ func BenchmarkAblationPruneDABF(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dabf.Prune(pool, filt)
+				if _, _, err := dabf.PruneSpan(b.Context(), pool, filt, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -68,7 +70,10 @@ func BenchmarkAblationSelection(b *testing.B) {
 		{"dt_cr", true, true},
 	}
 	pool, filt, d := ablationPool(b, 40)
-	pruned, _ := dabf.Prune(pool, filt)
+	pruned, _, err := dabf.PruneSpan(b.Context(), pool, filt, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -117,7 +117,7 @@ func TestDTUtilitiesCRMatchesNoCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filt, err := dabf.Build(pool, dabf.Config{Seed: 5})
+	filt, err := dabf.BuildSpan(t.Context(), pool, dabf.Config{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,16 +91,12 @@ type DABF struct {
 	Cfg      Config
 }
 
-// Build runs Algorithm 2: per class, hash every candidate (motifs and
+// BuildSpan runs Algorithm 2: per class, hash every candidate (motifs and
 // discords) into buckets, rank buckets by centre distance from the origin,
 // z-normalise the projected norms, and fit the best distribution by NMSE.
-func Build(pool *ip.Pool, cfg Config) (*DABF, error) {
-	return BuildSpan(context.Background(), pool, cfg, nil)
-}
-
-// BuildSpan is Build with observability and cooperative cancellation: a
-// sub-span per class filter (annotated with the chosen distribution, its
-// NMSE, and the bucket count) and a bucket-occupancy histogram hang off sp.
+// Observability: a sub-span per class filter (annotated with the chosen
+// distribution, its NMSE, and the bucket count) and a bucket-occupancy
+// histogram hang off sp.
 // A nil span disables all of it; the filter is identical either way.  The
 // context is checked once per class; a cancelled build returns a nil filter
 // and an error matching errs.ErrCanceled.
@@ -316,23 +312,13 @@ type PruneStats struct {
 	Pruned   int
 }
 
-// Prune runs Algorithm 3: every candidate is queried against the DABF of
+// PruneSpan runs Algorithm 3: every candidate is queried against the DABF of
 // every *other* class; candidates possibly close to most elements of some
 // other class are removed.  A new pool is returned; the input is untouched.
 // At least cfg.MinKeep motif candidates survive per class (the most
 // distinctive ones by z-score) so downstream selection never starves.
-func Prune(pool *ip.Pool, d *DABF) (*ip.Pool, PruneStats) {
-	out, st, err := PruneSpan(context.Background(), pool, d, nil)
-	if err != nil {
-		// Unreachable: a background context never cancels and the queries
-		// have no other failure mode.
-		return &ip.Pool{ByClass: map[int][]ip.Candidate{}}, st
-	}
-	return out, st
-}
-
-// PruneSpan is Prune with observability and cooperative cancellation.  It
-// feeds four counters: dabf.prune.examined / accepted / rejected, and
+//
+// Observability: four counters, dabf.prune.examined / accepted / rejected and
 // dabf.prune.false_positives — candidates the filter answered "possibly
 // close" for but the MinKeep floor restored as the most distinctive of
 // their class, i.e. the measurable proxy for the filter's false-positive

@@ -92,6 +92,16 @@ func TestDSBFDefaults(t *testing.T) {
 
 // twoClassPool builds a pool whose class-0 candidates cluster around one
 // shape and class-1 candidates around a very different shape.
+// prune runs PruneSpan under the test's context and fails the test on error.
+func prune(t testing.TB, pool *ip.Pool, d *DABF) (*ip.Pool, PruneStats) {
+	t.Helper()
+	out, st, err := PruneSpan(t.Context(), pool, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, st
+}
+
 func twoClassPool(perClass int, seed int64) *ip.Pool {
 	rng := rand.New(rand.NewSource(seed))
 	mk := func(base []float64, scale float64) ts.Series {
@@ -121,7 +131,7 @@ func twoClassPool(perClass int, seed int64) *ip.Pool {
 
 func TestBuildProducesRankedBucketsAndFit(t *testing.T) {
 	pool := twoClassPool(40, 3)
-	d, err := Build(pool, Config{Seed: 4})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +162,17 @@ func TestBuildProducesRankedBucketsAndFit(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, Config{}); err == nil {
+	if _, err := BuildSpan(t.Context(), nil, Config{}, nil); err == nil {
 		t.Fatal("nil pool should error")
 	}
-	if _, err := Build(&ip.Pool{ByClass: map[int][]ip.Candidate{}}, Config{}); err == nil {
+	if _, err := BuildSpan(t.Context(), &ip.Pool{ByClass: map[int][]ip.Candidate{}}, Config{}, nil); err == nil {
 		t.Fatal("empty pool should error")
 	}
 }
 
 func TestCloseToMostSemantics(t *testing.T) {
 	pool := twoClassPool(60, 5)
-	d, err := Build(pool, Config{Seed: 6})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestCloseToMostSemantics(t *testing.T) {
 
 func TestBucketIndex(t *testing.T) {
 	pool := twoClassPool(50, 7)
-	d, err := Build(pool, Config{Seed: 8})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +230,11 @@ func TestPruneRemovesCrossClassCandidates(t *testing.T) {
 	pool.ByClass[0] = append(pool.ByClass[0], ip.Candidate{
 		Class: 0, Kind: ip.Motif, Values: impostor,
 	})
-	d, err := Build(pool, Config{Seed: 10})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, st := Prune(pool, d)
+	pruned, st := prune(t, pool, d)
 	if st.Examined != pool.Size() {
 		t.Fatalf("examined %d, want %d", st.Examined, pool.Size())
 	}
@@ -257,11 +267,11 @@ func TestPruneKeepsFallbackMotif(t *testing.T) {
 			pool.ByClass[c] = append(pool.ByClass[c], ip.Candidate{Class: c, Kind: ip.Motif, Values: vals})
 		}
 	}
-	d, err := Build(pool, Config{Seed: 12})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 12}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, _ := Prune(pool, d)
+	pruned, _ := prune(t, pool, d)
 	for c := 0; c < 2; c++ {
 		motifs := 0
 		for _, cand := range pruned.ByClass[c] {
@@ -302,12 +312,12 @@ func TestDABFFasterThanNaive(t *testing.T) {
 		t.Skip("timing comparison skipped in -short mode")
 	}
 	pool := twoClassPool(400, 14)
-	d, err := Build(pool, Config{Seed: 15})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 15}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := nowNs()
-	Prune(pool, d)
+	prune(t, pool, d)
 	dabfNs := nowNs() - t0
 	t0 = nowNs()
 	if _, _, err := NaivePrune(context.Background(), pool, 32, 3); err != nil {

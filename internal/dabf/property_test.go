@@ -12,7 +12,7 @@ import (
 // threshold stays close at any looser one.
 func TestCloseToMostMonotoneInTheta(t *testing.T) {
 	pool := twoClassPool(40, 100)
-	d, err := Build(pool, Config{Seed: 101})
+	d, err := BuildSpan(t.Context(), pool, Config{Seed: 101}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestCloseToMostMonotoneInTheta(t *testing.T) {
 
 func TestProjectValuesDimension(t *testing.T) {
 	pool := twoClassPool(20, 102)
-	d, err := Build(pool, Config{NumHashes: 6, Seed: 103})
+	d, err := BuildSpan(t.Context(), pool, Config{NumHashes: 6, Seed: 103}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestProjectValuesDimension(t *testing.T) {
 func TestPruneNeverGrows(t *testing.T) {
 	f := func(seed int64) bool {
 		pool := twoClassPool(10+int(seed%30+30)%30, seed)
-		d, err := Build(pool, Config{Seed: seed})
+		d, err := BuildSpan(t.Context(), pool, Config{Seed: seed}, nil)
 		if err != nil {
 			return false
 		}
-		pruned, st := Prune(pool, d)
+		pruned, st := prune(t, pool, d)
 		if pruned.Size() > pool.Size() {
 			return false
 		}

@@ -41,64 +41,56 @@ func requireZeroAllocs(t *testing.T, what string, fn func()) {
 // TestBatchEvalAllocs pins the arena contract of EvalScratchCtx: with a warm
 // Scratch, re-evaluating a batch allocates nothing — neither on the
 // scratch-prepared path (the serve loop: every request series is new) nor on
-// the cached-Prepared path (CV folds re-evaluating resident series), in
-// either precision.
+// the cached-Prepared path (CV folds re-evaluating resident series).
 func TestBatchEvalAllocs(t *testing.T) {
 	ctx := context.Background()
 	b, series := allocBatch()
-	b32, _ := allocBatch()
-	b32.SetPrecision(PrecisionFloat32)
 
 	out := make([]float64, b.Len())
 	var c Counts
 	var evalErr error
 
-	for _, tc := range []struct {
-		name  string
-		batch *Batch
-	}{
-		{"float64", b},
-		{"float32", b32},
-	} {
-		var s Scratch
-		requireZeroAllocs(t, tc.name+"/scratch-prepared", func() {
-			p := s.Prepare(series)
-			if err := tc.batch.EvalScratchCtx(ctx, p, out, &c, &s); err != nil {
-				evalErr = err
-			}
-		})
+	var s Scratch
+	requireZeroAllocs(t, "float64/scratch-prepared", func() {
+		p := s.Prepare(series)
+		if err := b.EvalScratchCtx(ctx, p, out, &c, &s); err != nil {
+			evalErr = err
+		}
+	})
 
-		var s2 Scratch
-		p := Prepare(series) // resident series: fft transforms cache on it
-		requireZeroAllocs(t, tc.name+"/cached-prepared", func() {
-			if err := tc.batch.EvalScratchCtx(ctx, p, out, &c, &s2); err != nil {
-				evalErr = err
-			}
-		})
-	}
+	var s2 Scratch
+	p := Prepare(series) // resident series: fft transforms cache on it
+	requireZeroAllocs(t, "float64/cached-prepared", func() {
+		if err := b.EvalScratchCtx(ctx, p, out, &c, &s2); err != nil {
+			evalErr = err
+		}
+	})
 	if evalErr != nil {
 		t.Fatalf("eval: %v", evalErr)
 	}
 }
 
-// TestScratchMatchesEvalInto pins that the scratch path is a pure
-// refactoring of EvalInto at float64: byte-identical output on both the
-// cached-Prepared and scratch-prepared routes (kernel choice differs between
-// them, which by contract never changes results).
+// TestScratchMatchesEvalInto pins that a reused scratch arena is a pure
+// scheduling choice: a scratch-prepared series evaluated with a caller-owned
+// Scratch is byte-identical to a cached Prepared evaluated with a per-call
+// (nil) scratch (kernel choice differs between the two routes, which by
+// contract never changes results).
 func TestScratchMatchesEvalInto(t *testing.T) {
 	b, series := allocBatch()
 	p := Prepare(series)
 	want := make([]float64, b.Len())
-	b.EvalInto(p, want, nil)
+	if err := b.EvalScratchCtx(t.Context(), p, want, nil, nil); err != nil {
+		t.Fatalf("cached eval: %v", err)
+	}
 
 	var s Scratch
 	got := make([]float64, b.Len())
-	if err := b.EvalScratchCtx(context.Background(), s.Prepare(series), got, nil, &s); err != nil {
+	if err := b.EvalScratchCtx(t.Context(), s.Prepare(series), got, nil, &s); err != nil {
 		t.Fatalf("scratch eval: %v", err)
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("query %d: scratch route = %v, EvalInto = %v (must be byte-identical)", i, got[i], want[i])
+			t.Fatalf("query %d: scratch route = %v, cached route = %v (must be byte-identical)", i, got[i], want[i])
 		}
 	}
 }

@@ -39,7 +39,9 @@ func BenchmarkKernels(b *testing.B) {
 					p := Prepare(series)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						batch.EvalInto(p, out, nil)
+						if err := batch.EvalScratchCtx(b.Context(), p, out, nil, nil); err != nil {
+							b.Fatal(err)
+						}
 					}
 				})
 			}

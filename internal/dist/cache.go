@@ -14,9 +14,6 @@ type Counts struct {
 	// Rolling, FFT, and Exact count (query, series) evaluations by kernel;
 	// Exact is the ts.Dist fallback for degenerate pairs.
 	Rolling, FFT, Exact int64
-	// Rolling32 and FFT32 count evaluations on the single-precision kernel
-	// variants (see Precision).
-	Rolling32, FFT32 int64
 	// LBSkipped counts windows the rolling kernel's norm lower bound
 	// excluded without touching their values.
 	LBSkipped int64
@@ -33,8 +30,6 @@ func (c *Counts) Merge(other Counts) {
 	c.Rolling += other.Rolling
 	c.FFT += other.FFT
 	c.Exact += other.Exact
-	c.Rolling32 += other.Rolling32
-	c.FFT32 += other.FFT32
 	c.LBSkipped += other.LBSkipped
 	c.Refined += other.Refined
 	c.FFTCacheHits += other.FFTCacheHits
@@ -52,8 +47,6 @@ func (c *Counts) AddTo(m *obs.Registry) {
 	m.Counter("dist.kernel.rolling").Add(c.Rolling)
 	m.Counter("dist.kernel.fft").Add(c.FFT)
 	m.Counter("dist.kernel.exact").Add(c.Exact)
-	m.Counter("dist.kernel.rolling32").Add(c.Rolling32)
-	m.Counter("dist.kernel.fft32").Add(c.FFT32)
 	m.Counter("dist.rolling.lb_skipped").Add(c.LBSkipped)
 	m.Counter("dist.fft.refined_windows").Add(c.Refined)
 	m.Counter("dist.fft.cache.hits").Add(c.FFTCacheHits)

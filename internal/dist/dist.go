@@ -25,7 +25,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -61,20 +60,6 @@ func (k Kernel) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseKernel parses a kernel name as accepted by the CLIs' -dist-kernel
-// flag: "auto", "rolling", or "fft" (the exact fallback is not forcible).
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "rolling":
-		return KernelRolling, nil
-	case "fft":
-		return KernelFFT, nil
-	}
-	return KernelAuto, fmt.Errorf("dist: unknown kernel %q (want auto, rolling, or fft)", s)
 }
 
 // fftMinQueryLen is the shortest query the fft kernel is considered for:
@@ -145,14 +130,6 @@ type Prepared struct {
 
 	mu  sync.Mutex
 	fts map[int]*fft.FT // padded forward transforms keyed by size
-
-	// float32 side, built lazily on the first single-precision evaluation
-	// (grow-once, so a scratch-reused Prepared re-fills in place).
-	built32  bool
-	t32      []float32
-	tt32     float32 // Σt² accumulated in float32
-	finite32 bool    // every rounded value and tt32 are finite in float32
-	fts32    map[int]*fft.FT32
 }
 
 // Prepare builds the prepared form of t in O(n).  The returned value aliases
@@ -226,68 +203,11 @@ func (p *Prepared) ft(size int) (*fft.FT, bool) {
 	return f, false
 }
 
-// f32 returns the float32 view of the series — the rounded values and their
-// float32-accumulated energy — building it on first use.  The third result
-// reports whether the rounded series is usable: a magnitude beyond float32
-// range converts to ±Inf, in which case callers stay on the float64 kernels.
-// The build is grow-once so a scratch-reused Prepared re-fills in place.
-func (p *Prepared) f32() ([]float32, float32, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.built32 {
-		n := len(p.t)
-		if cap(p.t32) < n {
-			p.t32 = make([]float32, n)
-		}
-		p.t32 = p.t32[:n]
-		var tt float32
-		for i, v := range p.t {
-			f := float32(v)
-			p.t32[i] = f
-			tt += f * f
-		}
-		p.tt32 = tt
-		f64 := float64(tt)
-		p.finite32 = p.finite && !math.IsNaN(f64) && !math.IsInf(f64, 0)
-		p.built32 = true
-	}
-	return p.t32, p.tt32, p.finite32
-}
-
-// ft32 returns the cached complex64 padded transform of the float32 series
-// for the given size, building both on first use.  The second result reports
-// a cache hit.  Never called for noFFT (scratch-prepared) series.
-func (p *Prepared) ft32(size int) (*fft.FT32, bool) {
-	t32, _, ok := p.f32()
-	if !ok {
-		return nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f := p.fts32[size]; f != nil {
-		return f, true
-	}
-	f, err := fft.NewFT32(t32, size)
-	if err != nil {
-		return nil, false // impossible by construction; callers fall back
-	}
-	if p.fts32 == nil {
-		p.fts32 = map[int]*fft.FT32{}
-	}
-	p.fts32[size] = f
-	return f, false
-}
-
 // Dist returns the Def. 4 distance of q against the prepared series,
 // byte-identical to ts.Dist(q, series).  Single queries keep an
 // early-abandoning min-only path: the rolling kernel never materialises a
-// profile.
-func (p *Prepared) Dist(q []float64) float64 {
-	return p.DistCounted(q, nil)
-}
-
-// DistCounted is Dist with kernel-choice accounting into c (nil is allowed).
-func (p *Prepared) DistCounted(q []float64, c *Counts) float64 {
+// profile.  Kernel-choice accounting goes into c (nil is allowed).
+func (p *Prepared) Dist(q []float64, c *Counts) float64 {
 	if c == nil {
 		c = &Counts{}
 	}

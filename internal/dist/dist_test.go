@@ -67,7 +67,7 @@ func TestDistMatchesTsDist(t *testing.T) {
 					q = randSeries(rng, m, kind+rep)
 				}
 				want := ts.Dist(q, series)
-				got := p.Dist(q)
+				got := p.Dist(q, nil)
 				if !bitsEqual(got, want) {
 					t.Fatalf("kind=%d n=%d m=%d rep=%d: Dist=%v (bits %x), ts.Dist=%v (bits %x)",
 						kind, n, m, rep, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -104,7 +104,9 @@ func TestBatchKernelsMatchTsDist(t *testing.T) {
 			p := Prepare(series)
 			var c Counts
 			out := make([]float64, len(queries))
-			b.EvalInto(p, out, &c)
+			if err := b.EvalScratchCtx(t.Context(), p, out, &c, nil); err != nil {
+				t.Fatalf("kernel=%v: %v", kernel, err)
+			}
 			for i := range out {
 				if !bitsEqual(out[i], want[i]) {
 					t.Fatalf("kind=%d kernel=%v query %d (m=%d): got %v (bits %x), want %v (bits %x)",
@@ -145,12 +147,16 @@ func TestDegenerateInputs(t *testing.T) {
 	for _, tc := range cases {
 		p := Prepare(tc.t)
 		want := ts.Dist(tc.q, tc.t)
-		got := p.Dist(tc.q)
+		got := p.Dist(tc.q, nil)
 		if !bitsEqual(got, want) {
 			t.Errorf("%s: Dist=%v, ts.Dist=%v", tc.name, got, want)
 		}
 		b := NewBatch([][]float64{tc.q})
-		if out := b.Eval(p); !bitsEqual(out[0], want) {
+		out := make([]float64, 1)
+		if err := b.EvalScratchCtx(t.Context(), p, out, nil, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bitsEqual(out[0], want) {
 			t.Errorf("%s: batch=%v, ts.Dist=%v", tc.name, out[0], want)
 		}
 	}
@@ -231,7 +237,9 @@ func TestCountsFlush(t *testing.T) {
 	b := NewBatch(queries)
 	p := Prepare(series)
 	var c Counts
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	if err := b.EvalScratchCtx(t.Context(), p, make([]float64, len(queries)), &c, nil); err != nil {
+		t.Fatal(err)
+	}
 	c.AddTo(o.Metrics())
 	if got := o.Metrics().Counter("dist.kernel.rolling").Value(); got != c.Rolling {
 		t.Fatalf("registry rolling = %d, want %d", got, c.Rolling)
@@ -257,12 +265,16 @@ func TestFFTTransformCacheReuse(t *testing.T) {
 	b := NewBatch(queries)
 	b.SetKernel(KernelFFT)
 	var c Counts
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	if err := b.EvalScratchCtx(t.Context(), p, make([]float64, len(queries)), &c, nil); err != nil {
+		t.Fatal(err)
+	}
 	if c.FFTCacheMisses == 0 || c.FFTCacheHits == 0 {
 		t.Fatalf("expected both misses and hits across shared pad sizes: %+v", c)
 	}
 	before := c
-	b.EvalInto(p, make([]float64, len(queries)), &c)
+	if err := b.EvalScratchCtx(t.Context(), p, make([]float64, len(queries)), &c, nil); err != nil {
+		t.Fatal(err)
+	}
 	if c.FFTCacheMisses != before.FFTCacheMisses {
 		t.Fatalf("second pass rebuilt transforms: %+v", c)
 	}

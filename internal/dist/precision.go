@@ -1,55 +1,10 @@
 package dist
 
-import "fmt"
-
-// Precision selects the arithmetic width of the batch engine's kernels.
-//
-// Float64 is the default and the byte-determinism contract: every result is
-// bit-identical to ts.Dist for the same pair, golden tests and saved models
-// rely on it, and nothing in this file changes that path.
-//
-// Float32 is an opt-in throughput variant for cache-bandwidth-bound
-// transforms: the rolling scan reads a float32 copy of the series (half the
-// bytes per window) and the fft kernel runs a complex64 transform, so the
-// memory traffic that bounds both kernels on long series roughly halves.
-// The cost is accuracy, not correctness: the float32 kernels compute the
-// Def. 4 distance of the float32-rounded inputs, and FuzzDist32 pins the
-// result to the float64 reference on those rounded inputs within an
-// accumulation tolerance (see float32Tolerance in fuzz_test.go).  Use it for
-// serving and bulk transforms where ranking, not bit-equality, matters.
+// Precision names the arithmetic width of the engine's kernels.  The engine
+// computes in float64 only — every result is bit-identical to ts.Dist for the
+// same pair — so PrecisionFloat64 is the type's one value.  It survives for
+// the deprecated configuration fields that still carry it.
 type Precision uint8
 
-const (
-	// PrecisionFloat64 is the byte-deterministic default.
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 opts into the single-precision kernel variants.
-	PrecisionFloat32
-)
-
-// String names the precision for flags, span attributes, and reports.
-func (p Precision) String() string {
-	if p == PrecisionFloat32 {
-		return "float32"
-	}
-	return "float64"
-}
-
-// ParsePrecision parses a precision name as accepted by the CLIs'
-// -precision flag: "float64" (or "64", or empty) and "float32" (or "32").
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "float64", "64":
-		return PrecisionFloat64, nil
-	case "float32", "32":
-		return PrecisionFloat32, nil
-	}
-	return PrecisionFloat64, fmt.Errorf("dist: unknown precision %q (want float64 or float32)", s)
-}
-
-// distEps32 is the float32 counterpart of distEps: the conservative relative
-// error bound the float32 fft kernel's candidate refinement uses.  float32
-// arithmetic carries ~1.2e-7 relative error per operation and the padded
-// transforms accumulate a log₂N factor of it; 1e-4 leaves two orders of
-// magnitude of margin for the largest series this repository handles, and an
-// over-wide bound only refines a few extra windows.
-const distEps32 = 1e-4
+// PrecisionFloat64 is the engine's only precision.
+const PrecisionFloat64 Precision = 0

@@ -2,7 +2,7 @@ package dist
 
 // Scratch is one worker's grow-once arena for repeated Batch evaluations:
 // the per-group window-energy vector, the fft sliding-dots and complex
-// buffers (both precisions), and a reusable Prepared for request-scoped
+// buffers, and a reusable Prepared for request-scoped
 // series that are seen once and never again — the ipsd serve loop, CV folds,
 // ensemble members.  Buffers grow to the high-water mark of the shapes they
 // have seen and are then reused verbatim, so a warmed scratch makes the
@@ -13,12 +13,9 @@ package dist
 // its own.  The Prepared returned by Prepare aliases the scratch and is
 // invalidated by the next Prepare call.
 type Scratch struct {
-	winSq   []float64
-	dots    []float64
-	cbuf    []complex128
-	winSq32 []float32
-	dots32  []float32
-	cbuf32  []complex64
+	winSq []float64
+	dots  []float64
+	cbuf  []complex128
 
 	prep Prepared
 }
@@ -32,7 +29,7 @@ type Scratch struct {
 // Scratch-prepared series always evaluate on the rolling kernel: a padded
 // series transform would be built and thrown away within one call, which
 // costs more than the fft kernel saves, and building it would allocate.
-// Kernel choice never changes float64 results, so this is a pure scheduling
+// Kernel choice never changes results, so this is a pure scheduling
 // decision.
 //
 //ips:hotpath
@@ -55,7 +52,5 @@ func (s *Scratch) Prepare(t []float64) *Prepared {
 	p.finite = finiteTotal(p.prefixSq[n])
 	p.noFFT = true
 	p.fts = nil // stale transforms of the previous series must never resolve
-	p.fts32 = nil
-	p.built32 = false
 	return p
 }

@@ -192,12 +192,12 @@ func TestCancellationStormTransform(t *testing.T) {
 		shapelets = append(shapelets, classify.Shapelet{Class: in.Label, Values: in.Values[:24].Clone()})
 	}
 	t0 := time.Now()
-	if _, err := classify.TransformCtx(context.Background(), d, shapelets, 4, nil, nil); err != nil {
+	if _, err := classify.TransformWith(t.Context(), d, shapelets, classify.TransformConfig{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	span := time.Since(t0) + time.Millisecond
 	if msg := faulty.Storm(100, span, func(ctx context.Context) error {
-		_, err := classify.TransformCtx(ctx, d, shapelets, 4, nil, nil)
+		_, err := classify.TransformWith(ctx, d, shapelets, classify.TransformConfig{Workers: 4})
 		return err
 	}); msg != "" {
 		t.Fatal(msg)

@@ -114,7 +114,7 @@ type Config struct {
 	// Workers sets the number of goroutines computing instance profiles
 	// (<=1 means sequential).  When there are fewer profile jobs than
 	// workers, the spare parallelism drops into the diagonal-tiled STOMP
-	// kernel instead (see mp.SelfJoinOpts).  The sampling itself stays
+	// kernel instead (see mp.SelfJoinCtx).  The sampling itself stays
 	// sequential and the kernel is byte-identical for any worker count, so
 	// the candidate pool is identical however the work is split — this is
 	// the shared-memory form of the distributed discovery the paper lists
@@ -142,19 +142,20 @@ func (c Config) Defaults() Config {
 // InstanceProfile computes IP(D_C, L) of Def. 8 over the given instances:
 // the matrix profile of their concatenation with subsequences spanning
 // instance boundaries excluded.  It returns the profile and the
-// concatenated series it annotates.
-func InstanceProfile(ins []ts.Instance, L int) (*mp.Profile, ts.Series) {
-	return InstanceProfileOpts(ins, L, mp.Options{})
-}
-
-// InstanceProfileOpts is InstanceProfile with an explicit kernel
-// configuration: opt.Workers parallelises the underlying STOMP self-join
-// over diagonal tiles (the profile is byte-identical for any worker
-// count), and opt.Span receives the kernel's spans.
-func InstanceProfileOpts(ins []ts.Instance, L int, opt mp.Options) (*mp.Profile, ts.Series) {
+// concatenated series it annotates.  opt.Workers parallelises the
+// underlying STOMP self-join over diagonal tiles (the profile is
+// byte-identical for any worker count), and opt.Span receives the kernel's
+// spans.  Cancellation behaves as in mp.SelfJoinCtx.
+//
+//ips:blocking
+func InstanceProfile(ctx context.Context, ins []ts.Instance, L int, opt mp.Options) (*mp.Profile, ts.Series, error) {
 	cat, starts := ts.ConcatenateInstances(ins)
 	valid := ts.BoundaryMask(starts, len(cat), L)
-	return mp.SelfJoinOpts(cat, L, valid, opt), cat
+	p, err := mp.SelfJoinCtx(ctx, cat, L, valid, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, cat, nil
 }
 
 // Lengths converts the configured ratios into absolute candidate lengths for
@@ -337,7 +338,6 @@ func GenerateSpan(ctx context.Context, d *ts.Dataset, cfg Config, sp *obs.Span) 
 			for w, n := range perWorker {
 				m.Gauge(fmt.Sprintf("ip.worker_jobs.w%d", w)).Set(float64(n))
 			}
-			psp.SetString("worker_jobs", fmt.Sprint(perWorker))
 		}
 	} else {
 		for ji := range jobs {

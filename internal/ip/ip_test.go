@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ips/internal/mp"
 	"ips/internal/ts"
 )
 
@@ -83,7 +84,10 @@ func TestInstanceProfileExcludesBoundaries(t *testing.T) {
 		}
 	}
 	L := 8
-	prof, cat := InstanceProfile(ins, L)
+	prof, cat, err := InstanceProfile(t.Context(), ins, L, mp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cat) != 40 {
 		t.Fatalf("cat len = %d", len(cat))
 	}

@@ -215,19 +215,6 @@ func mergeRange(parts []*partial, prof *Profile, lo, hi int) {
 	}
 }
 
-// SelfJoinOpts is SelfJoinCtx without cancellation (a background context).
-//
-//ips:blocking
-func SelfJoinOpts(t []float64, w int, valid []bool, opt Options) *Profile {
-	p, err := SelfJoinCtx(context.Background(), t, w, valid, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels and the kernel
-		// has no other failure mode; keep the degenerate shape anyway.
-		return &Profile{W: w}
-	}
-	return p
-}
-
 // SelfJoinCtx computes the matrix profile of t with window w under
 // z-normalised Euclidean distance, using a diagonal-tiled STOMP kernel:
 // the strict upper triangle of the distance matrix (offsets k > excl) is
@@ -238,8 +225,10 @@ func SelfJoinOpts(t []float64, w int, valid []bool, opt Options) *Profile {
 //
 // into per-worker partial profiles, which are then min-reduced
 // deterministically (ties on exact distance go to the lower neighbour
-// index).  Subsequences within w/2 of the query are excluded, as are
-// subsequences for which valid is false (nil means all valid).
+// index).  Subsequences within w/2 of the query form the standard exclusion
+// zone (footnote 1 of the paper: trivially overlapping neighbours are
+// excluded); subsequences for which valid is false are excluded too (nil
+// means all valid).
 //
 // Cancelling ctx stops the join at tile granularity and returns a nil
 // profile with an error matching errs.ErrCanceled; no partial profile
@@ -317,19 +306,6 @@ func (wk *selfJoinWalker) walk(pt *partial, tl tile) {
 			pt.update(j, d, i)
 		}
 	}
-}
-
-// ABJoinOpts is ABJoinCtx without cancellation (a background context).
-//
-//ips:blocking
-func ABJoinOpts(a, b []float64, w int, validA, validB []bool, opt Options) *Profile {
-	p, err := ABJoinCtx(context.Background(), a, b, w, validA, validB, opt)
-	if err != nil {
-		// Unreachable: a background context never cancels and the kernel
-		// has no other failure mode; keep the degenerate shape anyway.
-		return &Profile{W: w}
-	}
-	return p
 }
 
 // ABJoinCtx computes, for every length-w subsequence of a, its

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ips/internal/dist"
 	"ips/internal/obs"
 )
 
@@ -58,11 +57,6 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (default 16 MiB); larger bodies
 	// get a typed 413.
 	MaxBodyBytes int64
-	// Kernel forces the distance kernel for every model's batch evaluation
-	// (default auto; kernel choice never changes float64 results).  Request
-	// series are scratch-prepared per batch, which always resolves to the
-	// rolling kernel — the knob exists for parity with the CLIs.
-	Kernel dist.Kernel
 	// MaxStreams caps concurrently open streaming sessions (default 1024).
 	// A create that would exceed it is refused with a typed 429.
 	MaxStreams int
@@ -70,13 +64,6 @@ type Config struct {
 	// ingest (default 1<<20).  An append that would exceed it is refused
 	// whole with a typed 429 before any state changes.
 	MaxStreamPoints int
-	// Precision selects the distance-kernel arithmetic width for every
-	// transform the server runs.  The float64 zero value keeps responses
-	// byte-identical to the offline pipeline; dist.PrecisionFloat32 opts into
-	// the single-precision throughput variant within documented tolerance.
-	// Applies to versions registered after the change (versions bind their
-	// precision at load).
-	Precision dist.Precision
 	// Obs receives metrics (route histograms, admission counters) and the
 	// admin-operation spans.  Nil means observability off; the serving path
 	// then updates nothing.

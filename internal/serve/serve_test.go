@@ -91,6 +91,17 @@ func evalBody(t *testing.T, d *ts.Dataset, n int) ([]byte, *ts.Dataset) {
 	return buf, sub
 }
 
+// features computes the reference shapelet-transform rows with
+// classify.TransformWith under the test's context.
+func features(t *testing.T, d *ts.Dataset, shapelets []classify.Shapelet) [][]float64 {
+	t.Helper()
+	X, err := classify.TransformWith(t.Context(), d, shapelets, classify.TransformConfig{})
+	if err != nil {
+		t.Fatalf("transform: %v", err)
+	}
+	return X
+}
+
 func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -139,7 +150,7 @@ func TestTransformRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, out)
 	}
-	want := classify.Transform(sub, m.Shapelets)
+	want := features(t, sub, m.Shapelets)
 	golden, _ := json.Marshal(transformResponse{Model: "planted", Version: 1, Features: want})
 	golden = append(golden, '\n')
 	if !bytes.Equal(out, golden) {

@@ -168,7 +168,13 @@ func Evaluate(ctx context.Context, train, test *Dataset, opt Options) (float64, 
 
 // Transform embeds every instance into shapelet-distance space (Def. 7).
 func Transform(d *Dataset, shapelets []Shapelet) [][]float64 {
-	return classify.Transform(d, shapelets)
+	X, err := classify.TransformWith(context.Background(), d, shapelets, classify.TransformConfig{})
+	if err != nil {
+		// Unreachable: a background context never cancels and the embedding
+		// has no other failure mode.
+		return nil
+	}
+	return X
 }
 
 // LoadTSV reads a dataset in the UCR archive TSV format.
