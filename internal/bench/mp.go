@@ -21,6 +21,19 @@ type MPBenchResult struct {
 	// Speedup is the ratio of the Workers=1 time at the same (N, w) to
 	// this time (1.0 for the Workers=1 row itself).
 	Speedup float64 `json:"speedup"`
+	// NsPerCell is Seconds spread over the distance-matrix cells the join
+	// walks (every diagonal beyond the exclusion zone, in full).
+	NsPerCell float64 `json:"ns_per_cell"`
+}
+
+// selfJoinCells is the number of distance-matrix cells mp.SelfJoinCtx
+// walks for a series of n points and window w.
+func selfJoinCells(n, w int) int {
+	d := n - w + 1 - (max(w/2, 1) + 1)
+	if d <= 0 {
+		return 0
+	}
+	return d * (d + 1) / 2
 }
 
 // MPBenchReport is the full kernel snapshot written to BENCH_mp.json.
@@ -87,16 +100,18 @@ func (h *Harness) MPBench(ctx context.Context) (*MPBenchReport, error) {
 			if workers == 1 {
 				base = best
 			}
-			res := MPBenchResult{N: n, W: w, Workers: workers, Seconds: best, Speedup: base / best}
+			res := MPBenchResult{N: n, W: w, Workers: workers, Seconds: best, Speedup: base / best,
+				NsPerCell: best * 1e9 / float64(selfJoinCells(n, w))}
 			report.Results = append(report.Results, res)
 			rows = append(rows, []string{
 				fmt.Sprint(n), fmt.Sprint(w), fmt.Sprint(workers),
 				fmt.Sprintf("%.4f", res.Seconds), fmt.Sprintf("%.2f", res.Speedup),
+				fmt.Sprintf("%.2f", res.NsPerCell),
 			})
 		}
 	}
 	fmt.Fprintf(h.out(), "MP kernel (GOMAXPROCS=%d)\n", report.GOMAXPROCS)
-	table(h.out(), []string{"N", "w", "workers", "seconds", "speedup"}, rows)
+	table(h.out(), []string{"N", "w", "workers", "seconds", "speedup", "ns/cell"}, rows)
 	return report, nil
 }
 

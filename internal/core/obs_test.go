@@ -198,3 +198,49 @@ func TestDiscoverTraceExport(t *testing.T) {
 		t.Fatal("no candidate-gen profiles span in trace")
 	}
 }
+
+// TestPredictSpans checks that Model.Predict hangs predict → {transform,
+// svm} off the span its ctx carries, that Evaluate puts that tree under the
+// observer's root next to the fit's stages, and that a span-less ctx gives
+// the same predictions.
+func TestPredictSpans(t *testing.T) {
+	train := plantedDataset(8, 60, 2, 5)
+	test := plantedDataset(6, 60, 2, 6)
+	o := obs.New("test")
+	opt := smallOptions(5)
+	opt.Obs = o
+	if _, _, err := Evaluate(t.Context(), train, test, opt); err != nil {
+		t.Fatal(err)
+	}
+	psp := o.Root().ChildByName("predict")
+	if psp == nil {
+		t.Fatal("Evaluate recorded no predict span")
+	}
+	var names []string
+	for _, c := range psp.Children() {
+		names = append(names, c.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"transform", "svm"}) {
+		t.Fatalf("predict children = %v, want [transform svm]", names)
+	}
+
+	model, err := Fit(t.Context(), train, smallOptions(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := obs.New("predict-only").Root()
+	traced, err := model.Predict(obs.WithSpan(t.Context(), root), test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := model.Predict(t.Context(), test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced, plain) {
+		t.Fatal("predictions differ with and without a span")
+	}
+	if got := len(root.Children()); got != 1 {
+		t.Fatalf("root has %d children after one traced Predict, want 1", got)
+	}
+}

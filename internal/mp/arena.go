@@ -7,12 +7,24 @@ import (
 
 // partial is one worker's private view of the profile while a tiled join is
 // in flight: squared nearest-neighbour distances and neighbour indices,
-// initialised to (+Inf, −1).  Partials come from a package-level arena so
+// initialised to (+Inf, −1), plus the worker's row of diagonal dot products
+// (see selfJoinWalker.walk).  Partials come from a package-level arena so
 // repeated joins — and concurrent joins from different goroutines — reuse
 // buffers instead of re-allocating O(N) per worker per call.
 type partial struct {
-	p []float64
-	i []int
+	p  []float64
+	i  []int
+	qt []float64
+}
+
+// dots returns the worker's dot-product row with room for one dot per
+// diagonal of a width-n tile, growing it once when a wider tile arrives.
+// The contents are stale; the walker seeds every entry before reading it.
+func (pt *partial) dots(n int) []float64 {
+	if cap(pt.qt) < n {
+		pt.qt = make([]float64, n)
+	}
+	return pt.qt[:n]
 }
 
 // update offers (d, idx) as position pos's nearest neighbour.  The

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ips/internal/obs"
-	"ips/internal/ts"
 )
 
 // Tile-size autotuning.  The historical kernel used a fixed tilesPerWorker=4
@@ -57,11 +56,8 @@ func cellCostNs() float64 {
 		for i := range t {
 			t[i] = math.Sin(float64(i) * 0.05)
 		}
-		n := pn - pw + 1
-		lo := pw/2 + 1
-		means, stds := ts.MovingMeanStd(t, pw)
-		first := ts.SlidingDots(t[:pw], t)
-		wk := &selfJoinWalker{t: t, w: pw, n: n, first: first, means: means, stds: stds}
+		wk := newSelfJoinWalker(t, pw, nil)
+		n, lo := wk.n, pw/2+1
 		pt := getPartial(n)
 		cells := diagCells(lo, n)
 		sw := obs.NewStopwatch()

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"ips/internal/ts"
 )
 
 // fuzzSeries decodes 8-byte chunks of data as float64s.  NaN and ±Inf bit
@@ -51,8 +53,9 @@ func checkProfileFinite(t *testing.T, p *Profile, nNeighbours int) {
 
 // FuzzSelfJoin feeds arbitrary finite series — zero-variance segments,
 // overflow-scale magnitudes, sub-window lengths — through the tiled kernel
-// at several worker counts, asserting the no-NaN contract and worker-count
-// byte-identity on every input.
+// at several worker counts, asserting the no-NaN contract, worker-count
+// byte-identity, and bitwise equality with the diagonal-walk oracle, both
+// unmasked and under an instance-profile-like boundary mask.
 func FuzzSelfJoin(f *testing.F) {
 	f.Add([]byte{}, uint8(4))
 	f.Add(make([]byte, 8*6), uint8(3))                             // all-zero (constant) series
@@ -77,6 +80,15 @@ func FuzzSelfJoin(f *testing.F) {
 			return
 		}
 		checkProfileFinite(t, ref, n)
+		requireIdentical(t, ref, diagSelfJoin(series, w, nil), "diagonal oracle")
+		// Instances of 2w points: every window straddling a boundary is masked.
+		var starts []int
+		for s := 0; s < len(series); s += 2 * w {
+			starts = append(starts, s)
+		}
+		valid := ts.BoundaryMask(starts, len(series), w)
+		requireIdentical(t, selfJoin(t, series, w, valid, Options{Workers: 3}),
+			diagSelfJoin(series, w, valid), "diagonal oracle, masked")
 		for _, workers := range []int{2, 5} {
 			got := selfJoin(t, series, w, nil, Options{Workers: workers})
 			for i := range got.P {

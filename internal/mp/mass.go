@@ -23,10 +23,10 @@ func MASS(q, t []float64) []float64 {
 	dots := fft.SlidingDots(q, t)
 	meanQ, stdQ := ts.MeanStd(q)
 	means, stds := ts.MovingMeanStd(t, m)
+	row := ts.NewZNormRow(m, meanQ, stdQ)
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
-		d := ts.ZNormSqDistFromStats(dots[i], m, meanQ, stdQ, means[i], stds[i])
-		out[i] = math.Sqrt(d)
+		out[i] = math.Sqrt(row.SqDist(dots[i], means[i], stds[i]))
 	}
 	return out
 }

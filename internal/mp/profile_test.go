@@ -308,3 +308,23 @@ func BenchmarkSelfJoin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSelfJoinIPShaped times one instance-profile length set on the
+// shape ip.Generate feeds the kernel for Mallat-like data: three
+// concatenated 1024-point instances, boundary-masked, at the five default
+// length ratios.
+func BenchmarkSelfJoinIPShaped(b *testing.B) {
+	const qs, m = 3, 1024
+	series := randomSeries(qs*m, 5)
+	starts := []int{0, m, 2 * m}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
+					L := int(r * m)
+					selfJoin(b, series, L, ts.BoundaryMask(starts, len(series), L), Options{Workers: workers})
+				}
+			}
+		})
+	}
+}

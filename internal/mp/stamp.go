@@ -83,8 +83,8 @@ func STAMP(t []float64, w int, fraction float64, seed int64) *Profile {
 // tolerance: window statistics advance through the same ts.Rolling state
 // MovingMeanStd walks, every dot product is reached by rolling the same
 // diagonal recurrence (rollDot) from the same ts.Dot seed the batch kernel
-// uses, distances go through ts.ZNormSqDistFromStats with the smaller
-// window index first exactly as the tile walker passes them, and ties on
+// uses, distances go through ts.ZNormRow with the smaller window index as
+// the row exactly as the tile walker passes them, and ties on
 // exact distance resolve to the lower neighbour index as in mergeRange.
 //
 // Incremental is not safe for concurrent use; callers serialise appends.
@@ -215,7 +215,7 @@ func (inc *Incremental) appendPoint(v float64) {
 	best, bestJ := math.Inf(1), -1
 	lim := newIdx - inc.excl // score exactly the pairs with newIdx−j > excl
 	for j := 0; j < lim; j++ {
-		d := ts.ZNormSqDistFromStats(inc.dots[j], w, inc.means[j], inc.stds[j], m, s)
+		d := ts.NewZNormRow(w, inc.means[j], inc.stds[j]).SqDist(inc.dots[j], m, s)
 		if d < best {
 			best, bestJ = d, j
 		}

@@ -35,9 +35,97 @@ type Options struct {
 // fused-multiply-add decisions apply identically), not merely the same
 // formula written twice.
 //
+// The tile walkers visit a tile row by row rather than diagonal by
+// diagonal, but each diagonal's dot still takes exactly the steps of a
+// diagonal walk — seeded once where the diagonal enters the matrix, then
+// one rollDot per row with the same four operands — so the order of
+// visiting cannot change a single bit of any cell.
+//
 //ips:hotpath
 func rollDot(dot, aOld, bOld, aNew, bNew float64) float64 {
 	return dot + (aNew*bNew - aOld*bOld)
+}
+
+// rollRow moves a row of diagonal dots one row down: entry x is the dot of
+// the diagonal whose cell in the previous row paired the window starting
+// at aOld's index with the one starting at bOld[x]'s.  The steps are
+// independent across diagonals, so the CPU overlaps them.
+//
+//ips:hotpath
+func rollRow(row []float64, aOld, aNew float64, bOld, bNew []float64) {
+	bOld, bNew = bOld[:len(row)], bNew[:len(row)]
+	for x := range row {
+		row[x] = rollDot(row[x], aOld, bOld[x], aNew, bNew[x])
+	}
+}
+
+// run is a half-open range [s, e) of valid subsequence positions.
+type run struct{ s, e int }
+
+// validRuns returns the maximal runs of valid positions in [0, n) in
+// increasing order; a nil mask is one run over everything.  The walkers
+// score only the columns inside a run, so the mask costs a few run
+// boundaries per row instead of a test per cell.
+func validRuns(valid []bool, n int) []run {
+	if valid == nil {
+		return []run{{0, n}}
+	}
+	var runs []run
+	for s := 0; s < n; {
+		if !valid[s] {
+			s++
+			continue
+		}
+		e := s + 1
+		for e < n && valid[e] {
+			e++
+		}
+		runs = append(runs, run{s, e})
+		s = e
+	}
+	return runs
+}
+
+// scoreRow scores the cells of row i whose dots are row, in columns jlo,
+// jlo+1, …, against the column statistics means/stds, skipping columns
+// outside the valid runs.  It offers each distance to its column in col
+// at once (a self-join passes its partial; an AB-join passes nil, since
+// its columns belong to the other series) and the row's minimum to
+// position i of pt once.  Columns come in increasing order and the
+// comparison is strict, so among exact ties the row keeps the lowest
+// index — the winner partial.update picks when each cell is offered on
+// its own.  runs is returned without the runs that end at or before jlo,
+// a cursor the caller carries to the next row (whose jlo is not smaller).
+//
+//ips:hotpath
+func scoreRow(pt, col *partial, rd ts.ZNormRow, i, jlo int, row []float64, runs []run, means, stds []float64) []run {
+	for len(runs) > 0 && runs[0].e <= jlo {
+		runs = runs[1:]
+	}
+	jhi := jlo + len(row)
+	best, bestJ := math.Inf(1), -1
+	for _, ru := range runs {
+		if ru.s >= jhi {
+			break
+		}
+		s, e := max(ru.s, jlo), min(ru.e, jhi)
+		q := row[s-jlo : e-jlo]
+		ms, ss := means[s:e], stds[s:e]
+		ms, ss = ms[:len(q)], ss[:len(q)] // lets the compiler drop the bounds checks below
+		for x, dot := range q {
+			d := rd.SqDist(dot, ms[x], ss[x])
+			if d < best {
+				best, bestJ = d, s+x
+			}
+			if col != nil {
+				col.update(s+x, d, i)
+			}
+		}
+	}
+	if bestJ >= 0 {
+		pt.update(i, best, bestJ)
+	}
+	return runs
 }
 
 // tile is a half-open range [lo, hi) of diagonal offsets.
@@ -218,8 +306,8 @@ func mergeRange(parts []*partial, prof *Profile, lo, hi int) {
 // SelfJoinCtx computes the matrix profile of t with window w under
 // z-normalised Euclidean distance, using a diagonal-tiled STOMP kernel:
 // the strict upper triangle of the distance matrix (offsets k > excl) is
-// partitioned into contiguous diagonal tiles, each walked with the O(1)
-// rolling dot-product recurrence
+// partitioned into contiguous diagonal tiles, each walked row by row with
+// the O(1) rolling dot-product recurrence
 //
 //	qt(i+1, j+1) = qt(i, j) − t[i]·t[j] + t[i+w]·t[j+w]
 //
@@ -258,9 +346,7 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 		}
 		return p, nil
 	}
-	means, stds := ts.MovingMeanStd(t, w)
-	first := ts.SlidingDots(t[:w], t) // first[k] = dot(t[0:w], t[k:k+w])
-
+	wk := newSelfJoinWalker(t, w, valid)
 	workers := clampWorkers(opt.Workers, n-lo)
 	tpw := tuneTilesPerWorker(n, w, workers, diagCells(lo, n))
 	tiles := cutTiles(lo, n, workers, tpw, func(k int) int { return n - k })
@@ -269,50 +355,66 @@ func SelfJoinCtx(ctx context.Context, t []float64, w int, valid []bool, opt Opti
 	obs.Log(ctx).Debug("stomp self-join", "op", "mp.selfjoin",
 		"n", n, "w", w, "workers", workers, "tiles", len(tiles))
 
-	wk := &selfJoinWalker{t: t, w: w, n: n, valid: valid, first: first, means: means, stds: stds}
 	parts := runTiles(ctx, workers, tiles, n, sp, wk.walk)
 	return finishTiles(ctx, parts, p, "mp.selfjoin")
 }
 
 // selfJoinWalker is the STOMP tile kernel of SelfJoinCtx: the series, its
-// sliding statistics, and the seed dot products, shared read-only across
-// workers.
+// validity mask and valid runs, its sliding statistics, and the seed dot
+// products, shared read-only across workers.
 type selfJoinWalker struct {
 	t           []float64
 	w, n        int
 	valid       []bool
-	first       []float64
+	runs        []run
+	first       []float64 // first[k] = dot(t[0:w], t[k:k+w])
 	means, stds []float64
 }
 
-// walk drains one diagonal tile into pt with the O(1) rolling dot-product
-// recurrence.  This is the innermost loop of the whole pipeline — it runs
-// once per matrix cell — so it must not allocate.
+func newSelfJoinWalker(t []float64, w int, valid []bool) *selfJoinWalker {
+	n := len(t) - w + 1
+	means, stds := ts.MovingMeanStd(t, w)
+	return &selfJoinWalker{
+		t: t, w: w, n: n, valid: valid, runs: validRuns(valid, n),
+		first: ts.SlidingDots(t[:w], t), means: means, stds: stds,
+	}
+}
+
+// walk drains the diagonal tile [lo, hi) into pt row by row.  Row i holds
+// the cells (i, i+k) of the tile's diagonals k that still reach it; the
+// worker keeps one dot per diagonal in pt's dot row, seeded from first at
+// row 0 and rolled once per row (rollRow), so every dot is bitwise the one
+// a diagonal-at-a-time walk computes.  Masked rows and masked column
+// stretches are only rolled.  Each cell is offered to its column at once
+// and the row's minimum once per row (scoreRow); the partial keeps the
+// lexicographic minimum of (distance, index), which does not depend on the
+// order the cells arrive in.  This is the innermost loop of the whole pipeline — it
+// runs once per matrix cell — so it must not allocate.
 //
 //ips:hotpath
 func (wk *selfJoinWalker) walk(pt *partial, tl tile) {
-	t, w, n := wk.t, wk.w, wk.n
-	for k := tl.lo; k < tl.hi; k++ {
-		dot := wk.first[k]
-		for i, j := 0, k; j < n; i, j = i+1, j+1 {
-			if i > 0 {
-				dot = rollDot(dot, t[i-1], t[j-1], t[i+w-1], t[j+w-1])
-			}
-			if wk.valid != nil && (!wk.valid[i] || !wk.valid[j]) {
-				continue
-			}
-			d := ts.ZNormSqDistFromStats(dot, w, wk.means[i], wk.stds[i], wk.means[j], wk.stds[j])
-			pt.update(i, d, j)
-			pt.update(j, d, i)
+	t, w, n, lo := wk.t, wk.w, wk.n, tl.lo
+	qt := pt.dots(tl.hi - lo)
+	copy(qt, wk.first[lo:tl.hi])
+	runs := wk.runs
+	for i := 0; i < n-lo; i++ {
+		row := qt[:min(tl.hi, n-i)-lo] // row[x] is the dot of cell (i, i+lo+x)
+		if i > 0 {
+			rollRow(row, t[i-1], t[i+w-1], t[i-1+lo:], t[i+w-1+lo:])
 		}
+		if wk.valid != nil && !wk.valid[i] {
+			continue
+		}
+		runs = scoreRow(pt, pt, ts.NewZNormRow(w, wk.means[i], wk.stds[i]), i, i+lo, row, runs, wk.means, wk.stds)
 	}
 }
 
 // ABJoinCtx computes, for every length-w subsequence of a, its
 // nearest-neighbour z-normalised distance among the subsequences of b (the
 // paper's P_AB), with the same diagonal-tiled kernel as SelfJoinCtx: the
-// na×nb cross matrix is cut along its diagonals j−i = k ∈ (−na, nb), each
-// walked with the rolling dot-product recurrence into per-worker partials.
+// na×nb cross matrix is cut along its diagonals j−i = k ∈ (−na, nb) into
+// tiles, each walked row by row with the rolling dot-product recurrence
+// into per-worker partials.
 // No exclusion zone applies because the two series are distinct.
 // validA/validB optionally mask boundary-spanning subsequences.
 // Cancellation behaves exactly as in SelfJoinCtx.
@@ -340,7 +442,7 @@ func ABJoinCtx(ctx context.Context, a, b []float64, w int, validA, validB []bool
 	nd := na + nb - 1
 	wk := &abJoinWalker{
 		a: a, b: b, w: w, na: na, nb: nb,
-		validA: validA, validB: validB, ab: ab, ba: ba,
+		validA: validA, runsB: validRuns(validB, nb), ab: ab, ba: ba,
 		meansA: meansA, stdsA: stdsA, meansB: meansB, stdsB: stdsB,
 	}
 	workers := clampWorkers(opt.Workers, nd)
@@ -356,16 +458,18 @@ func ABJoinCtx(ctx context.Context, a, b []float64, w int, validA, validB []bool
 	return finishTiles(ctx, parts, p, "mp.abjoin")
 }
 
-// abJoinWalker is the STOMP tile kernel of ABJoinCtx: both series, their
-// sliding statistics, and the seed dot products for positive (ab) and
-// negative (ba) diagonals, shared read-only across workers.
+// abJoinWalker is the STOMP tile kernel of ABJoinCtx: both series, a's
+// validity mask and b's valid runs, their sliding statistics, and the seed
+// dot products for positive (ab) and negative (ba) diagonals, shared
+// read-only across workers.
 type abJoinWalker struct {
-	a, b           []float64
-	w, na, nb      int
-	validA, validB []bool
-	ab, ba         []float64
-	meansA, stdsA  []float64
-	meansB, stdsB  []float64
+	a, b          []float64
+	w, na, nb     int
+	validA        []bool
+	runsB         []run
+	ab, ba        []float64
+	meansA, stdsA []float64
+	meansB, stdsB []float64
 }
 
 // diagLen returns the number of cells on shifted diagonal s.
@@ -382,33 +486,35 @@ func (wk *abJoinWalker) diagLen(s int) int {
 	return lb
 }
 
-// walk drains one diagonal tile of the cross matrix into pt.  Like the
-// self-join kernel it runs once per cell and must not allocate.
+// walk drains the diagonal tile [lo, hi) of the cross matrix into pt row
+// by row, like selfJoinWalker.walk.  A diagonal k = j − i ≥ 0 enters at
+// row 0 seeded from ab[k]; a diagonal k < 0 enters at row −k seeded from
+// ba[−k]; from there it rolls once per row, exactly the steps of a
+// diagonal walk.  Only rows are offered (the columns belong to b), once
+// per row.  Like the self-join kernel it runs once per cell and must not
+// allocate.
 //
 //ips:hotpath
 func (wk *abJoinWalker) walk(pt *partial, tl tile) {
-	a, b, w := wk.a, wk.b, wk.w
-	for s := tl.lo; s < tl.hi; s++ {
-		k := s - (wk.na - 1)
-		i0, j0 := 0, k
-		dot := 0.0
-		if k < 0 {
-			i0, j0 = -k, 0
-			dot = wk.ba[i0]
-		} else {
-			dot = wk.ab[j0]
+	a, b, w, na, nb := wk.a, wk.b, wk.w, wk.na, wk.nb
+	klo, khi := tl.lo-(na-1), tl.hi-(na-1) // the tile's diagonals j − i ∈ [klo, khi)
+	qt := pt.dots(khi - klo)
+	runs := wk.runsB
+	for i := max(0, 1-khi); i < min(na, nb-klo); i++ {
+		kA, kB := max(klo, -i), min(khi, nb-i) // diagonals with a cell in row i
+		row := qt[kA-klo : kB-klo]             // row[x] is the dot of cell (i, i+kA+x)
+		switch {
+		case i == 0:
+			copy(row, wk.ab[kA:kB])
+		case kA == -i: // diagonal −i enters here; the rest roll on
+			row[0] = wk.ba[i]
+			rollRow(row[1:], a[i-1], a[i+w-1], b, b[w:])
+		default:
+			rollRow(row, a[i-1], a[i+w-1], b[i-1+kA:], b[i+w-1+kA:])
 		}
-		count := wk.diagLen(s)
-		for c := 0; c < count; c++ {
-			i, j := i0+c, j0+c
-			if c > 0 {
-				dot = rollDot(dot, a[i-1], b[j-1], a[i+w-1], b[j+w-1])
-			}
-			if wk.validA != nil && !wk.validA[i] || wk.validB != nil && !wk.validB[j] {
-				continue
-			}
-			d := ts.ZNormSqDistFromStats(dot, w, wk.meansA[i], wk.stdsA[i], wk.meansB[j], wk.stdsB[j])
-			pt.update(i, d, j)
+		if wk.validA != nil && !wk.validA[i] {
+			continue
 		}
+		runs = scoreRow(pt, nil, ts.NewZNormRow(w, wk.meansA[i], wk.stdsA[i]), i, i+kA, row, runs, wk.meansB, wk.stdsB)
 	}
 }

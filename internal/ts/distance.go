@@ -108,6 +108,10 @@ func DistProfile(q, t []float64) []float64 {
 	return out
 }
 
+// znormEps is the standard deviation below which a subsequence counts as
+// constant in ZNormSqDistFromStats.
+const znormEps = 1e-12
+
 // ZNormSqDistFromStats returns the z-normalised squared Euclidean distance of
 // two length-w subsequences given their sliding dot product qt, their means
 // and standard deviations.  This is the standard matrix-profile identity
@@ -121,15 +125,41 @@ func DistProfile(q, t []float64) []float64 {
 //
 //ips:hotpath
 func ZNormSqDistFromStats(qt float64, w int, meanA, stdA, meanB, stdB float64) float64 {
-	const eps = 1e-12
+	return NewZNormRow(w, meanA, stdA).SqDist(qt, meanB, stdB)
+}
+
+// ZNormRow is subsequence A's side of ZNormSqDistFromStats, computed once
+// for a caller that scores one subsequence against many (a matrix-profile
+// row).  It holds fw·meanA and fw·stdA, the products the identity forms
+// first when fw*meanA*meanB and fw*stdA*stdB are evaluated left to right,
+// so SqDist returns the same bits whether or not the row is reused.
+type ZNormRow struct {
+	twoFw, fwMean, fwStd float64
+	flat                 bool // A is constant (std < znormEps)
+}
+
+// NewZNormRow returns the row of a length-w subsequence with the given
+// mean and standard deviation.
+func NewZNormRow(w int, mean, std float64) ZNormRow {
 	fw := float64(w)
-	if stdA < eps && stdB < eps {
-		return 0
+	return ZNormRow{twoFw: 2 * fw, fwMean: fw * mean, fwStd: fw * std, flat: std < znormEps}
+}
+
+// SqDist returns ZNormSqDistFromStats(qt, w, meanA, stdA, mean, std) for
+// the row's subsequence A.
+//
+//ips:hotpath
+func (r ZNormRow) SqDist(qt, mean, std float64) float64 {
+	if std < znormEps {
+		if r.flat {
+			return 0
+		}
+		return r.twoFw
 	}
-	if stdA < eps || stdB < eps {
-		return 2 * fw
+	if r.flat {
+		return r.twoFw
 	}
-	corr := (qt - fw*meanA*meanB) / (fw * stdA * stdB)
+	corr := (qt - r.fwMean*mean) / (r.fwStd * std)
 	// Huge-magnitude (but finite) inputs overflow the sliding statistics:
 	// dots and variances reach ±Inf and Inf−Inf / Inf÷Inf turn corr into
 	// NaN, which the clamps below cannot catch.  Treat such garbage as zero
@@ -145,7 +175,7 @@ func ZNormSqDistFromStats(qt float64, w int, meanA, stdA, meanB, stdB float64) f
 	if corr < -1 {
 		corr = -1
 	}
-	return 2 * fw * (1 - corr)
+	return r.twoFw * (1 - corr)
 }
 
 // DTW returns the dynamic time warping distance between a and b under the

@@ -360,3 +360,55 @@ func TestSqDistEuclidean(t *testing.T) {
 		t.Fatalf("EuclideanDist = %v", EuclideanDist(a, b))
 	}
 }
+
+// znormSqDistFormula is ZNormSqDistFromStats written out in one piece, as
+// it stood before the row form: the reference ZNormRow must match bitwise.
+func znormSqDistFormula(qt float64, w int, meanA, stdA, meanB, stdB float64) float64 {
+	const eps = 1e-12
+	fw := float64(w)
+	if stdA < eps && stdB < eps {
+		return 0
+	}
+	if stdA < eps || stdB < eps {
+		return 2 * fw
+	}
+	corr := (qt - fw*meanA*meanB) / (fw * stdA * stdB)
+	if math.IsNaN(corr) {
+		corr = 0
+	}
+	if corr > 1 {
+		corr = 1
+	}
+	if corr < -1 {
+		corr = -1
+	}
+	return 2 * fw * (1 - corr)
+}
+
+// TestZNormRowMatchesFormula checks ZNormRow.SqDist (and with it
+// ZNormSqDistFromStats) bitwise against the one-piece formula on inputs
+// that pick each branch: constant windows on either side, NaN correlation
+// from overflowed statistics, and correlations clamped at ±1.
+func TestZNormRowMatchesFormula(t *testing.T) {
+	stds := []float64{0, 1e-13, 1e-12, 0.3, 1, 7.5, math.Inf(1), math.NaN()}
+	means := []float64{0, -1.25, 3, 1e200, math.Inf(-1)}
+	dots := []float64{0, 1, -1, 12.5, 64, -64, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, w := range []int{1, 8, 64} {
+		for _, ma := range means {
+			for _, sa := range stds {
+				row := NewZNormRow(w, ma, sa)
+				for _, mb := range means {
+					for _, sb := range stds {
+						for _, qt := range dots {
+							want := znormSqDistFormula(qt, w, ma, sa, mb, sb)
+							got := row.SqDist(qt, mb, sb)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("w=%d A(%v,%v) B(%v,%v) qt %v: %v, want %v", w, ma, sa, mb, sb, qt, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
